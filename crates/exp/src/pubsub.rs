@@ -34,14 +34,17 @@ use ct_sim::FaultPlan;
 
 /// Provisioned correction barrier (µs) for checked-sync cells:
 /// comfortably past wall-clock dissemination of the *largest* topic
-/// fleet at this P on one core, so every rank tree-colors before the
-/// barrier and Corollary 1 holds exactly.
+/// fleet at this P, so every rank tree-colors before the barrier and
+/// Corollary 1 holds exactly. Paced quanta send one tree message per
+/// rank per run-queue cycle, so dissemination of k = 64 topics on two
+/// workers took up to ~70 ms at P = 256, ~0.4 s at P = 1024 and
+/// ~1.4 s at P = 4096; each barrier is at least twice that.
 pub fn sync_barrier_us(p: u32) -> u64 {
     match p {
         0..=128 => 20_000,
-        129..=512 => 36_000,
-        513..=2048 => 100_000,
-        _ => 420_000,
+        129..=512 => 200_000,
+        513..=2048 => 800_000,
+        _ => 3_000_000,
     }
 }
 
@@ -118,11 +121,16 @@ fn cell_topics(p: u32, k: usize, faulty: bool, seed0: u64, logp: &LogP) -> Topic
                 CorrectionKind::OpportunisticOptimized { distance: 4 },
             )
         } else {
+            // The arrival-gate fallback only bounds the wait for a dead
+            // neighbor, and these cells have none. A short one is waived
+            // by a worker the OS deschedules for a few milliseconds, and
+            // the rank then probes past Corollary 1.
+            let barrier = sync_barrier_us(p);
             let mut s = BroadcastSpec::corrected_tree_sync(
                 TreeKind::BINOMIAL,
-                CorrectionKind::checked_paced(logp, 4),
+                CorrectionKind::checked_paced(logp, barrier),
             );
-            s.sync_start_override = Some(sync_barrier_us(p));
+            s.sync_start_override = Some(barrier);
             s
         };
         let spec = spec.with_root(root);

@@ -240,11 +240,12 @@ impl Dist {
 
 /// A fixed-bucket histogram updated with relaxed atomic RMWs; the
 /// atomic twin of [`Histogram`] (same bounds, snapshots via
-/// [`Histogram::from_parts`]).
+/// [`Histogram::from_parts`]). There is no total-count atomic: a
+/// snapshot taken while a worker records would read it out of step
+/// with the buckets, so the total is the sum of the buckets it read.
 struct AtomicHistogram {
     /// Per-bucket counts; last entry is the overflow bucket.
     counts: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -254,7 +255,6 @@ impl AtomicHistogram {
     fn new(buckets: usize) -> AtomicHistogram {
         AtomicHistogram {
             counts: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -264,7 +264,6 @@ impl AtomicHistogram {
     fn record(&self, bounds: &[u64], v: u64) {
         let idx = bounds.partition_point(|&b| b < v);
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -276,10 +275,11 @@ impl AtomicHistogram {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
+        let count = counts.iter().sum();
         Histogram::from_parts(
             bounds.to_vec(),
             counts,
-            self.count.load(Ordering::Relaxed),
+            count,
             self.sum.load(Ordering::Relaxed),
             self.min.load(Ordering::Relaxed),
             self.max.load(Ordering::Relaxed),
@@ -739,6 +739,32 @@ mod tests {
         assert_eq!(h.min(), Some(4));
         assert_eq!(h.max(), Some(32));
         assert_eq!(h.sum(), 36);
+    }
+
+    /// The sampler snapshots while workers record: every snapshot must
+    /// still be a valid histogram (its total equal to its buckets).
+    #[test]
+    fn snapshots_concurrent_with_recording_are_consistent() {
+        use std::sync::Arc;
+        let hub = Arc::new(TelemetryHub::new(1, 1));
+        let writer = {
+            let hub = Arc::clone(&hub);
+            std::thread::spawn(move || {
+                for v in 0..200_000u64 {
+                    hub.observe(0, Dist::QuantumUs, v % 64);
+                }
+            })
+        };
+        while !writer.is_finished() {
+            let snap = hub.snapshot();
+            let h = &snap.histograms["sched.quantum_us"];
+            assert_eq!(h.counts().iter().sum::<u64>(), h.count());
+        }
+        writer.join().unwrap();
+        assert_eq!(
+            hub.snapshot().histograms["sched.quantum_us"].count(),
+            200_000
+        );
     }
 
     #[test]

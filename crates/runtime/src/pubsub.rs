@@ -24,7 +24,8 @@
 //! accounting under multiplexing. Here a broadcast retires only at
 //! *quiescence*: every live rank colored, every protocol machine
 //! reported [`ct_core::protocol::SendPoll::Done`], and every message
-//! sent also consumed (delivered or dead-dropped — nothing in flight).
+//! sent also taken off its mailbox (delivered or dead-dropped — nothing
+//! in flight, by a counter the sending and draining quanta update).
 //! Fault-free checked-correction topics therefore report exactly the
 //! `(P-1) + M·P` total of Corollary 1 regardless of interleaving.
 //! Topics whose machines never report `Done` (failure-proof gossip
@@ -35,6 +36,8 @@
 //! (the consumer-visible metric); retirement happens later, at
 //! quiescence, without extending the reported latency.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::RecvTimeoutError;
@@ -190,10 +193,9 @@ struct Active {
     colored_count: u32,
     /// Live ranks whose protocol machine reported `Done`.
     done: u32,
-    /// Messages pushed on behalf of this broadcast.
-    sent: u64,
-    /// Messages taken off mailboxes (delivered or dead-dropped).
-    consumed: u64,
+    /// Messages of this broadcast in flight (shared with every rank's
+    /// [`IterState::in_flight`]).
+    in_flight: Arc<AtomicU64>,
     epoch: Instant,
     deadline: Instant,
     /// Set the moment `colored_count` reached `live`.
@@ -203,7 +205,9 @@ struct Active {
 
 impl Active {
     fn quiescent(&self) -> bool {
-        self.colored_count == self.live && self.done == self.live && self.sent == self.consumed
+        self.colored_count == self.live
+            && self.done == self.live
+            && self.in_flight.load(Ordering::SeqCst) == 0
     }
 }
 
@@ -319,15 +323,8 @@ impl Cluster {
                         }
                     }
                 }
-                Ok(CoordMsg::Progress {
-                    id,
-                    sent,
-                    consumed,
-                    done,
-                }) => {
+                Ok(CoordMsg::Progress { id, done }) => {
                     if let Some(a) = active.iter_mut().find(|a| a.id == id) {
-                        a.sent += sent;
-                        a.consumed += consumed;
                         a.done += done;
                     }
                 }
@@ -378,6 +375,7 @@ impl Cluster {
         topic.spec.build_into(&ctx, &mut self.procs)?;
         assert_eq!(self.procs.len(), self.p as usize);
         let live: u32 = topic.dead.iter().filter(|&&d| !d).count() as u32;
+        let in_flight = Arc::new(AtomicU64::new(0));
         let epoch = Instant::now();
         let epoch_us = epoch.duration_since(self.shared.base).as_micros() as u64;
         for rank in (0..self.p).rev() {
@@ -397,6 +395,7 @@ impl Cluster {
                 sent: 0,
                 notified: false,
                 done_notified: false,
+                in_flight: Some(Arc::clone(&in_flight)),
                 events: Vec::new(),
             });
             st.last_installed = id;
@@ -430,8 +429,7 @@ impl Cluster {
             colored: vec![false; self.p as usize],
             colored_count: 0,
             done: 0,
-            sent: 0,
-            consumed: 0,
+            in_flight,
             epoch,
             deadline: epoch + self.timeout,
             latency: None,

@@ -358,6 +358,77 @@ fn cluster_stress_200_iterations_two_workers() {
     }
 }
 
+/// Liveness stress for overlapped opportunistic correction at distance
+/// 4 on the cluster: 400 broadcasts at P=4096 on two workers, each from
+/// its own root with its own 1% root-protecting fault plan, must all
+/// color every live rank within 250 ms. Unpaced quanta (a rank sending
+/// until its protocol stopped asking) stalled about one such broadcast
+/// in 100. `#[ignore]`d for its run time (seconds in release); CI's
+/// check-smoke job runs it explicitly.
+#[test]
+#[ignore = "stress test; run explicitly (CI check-smoke does)"]
+fn cluster_opp4_random_roots_400_broadcasts_two_workers() {
+    use corrected_trees::runtime::ClusterConfig;
+    use std::time::Duration;
+    let p = 4096u32;
+    let cfg = ClusterConfig::new()
+        .threads(2)
+        .timeout(Duration::from_millis(250));
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let spec = BroadcastSpec::corrected_tree(
+        TreeKind::BINOMIAL,
+        CorrectionKind::OpportunisticOptimized { distance: 4 },
+    );
+    for i in 0..400u64 {
+        // Fibonacci hashing spreads the roots over the ring.
+        let root = ((i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % u64::from(p)) as u32;
+        let plan = FaultPlan::random_count_protecting(p, p / 100, i, root).unwrap();
+        let report = cluster
+            .run_broadcast(&spec.with_root(root), plan.mask(), i)
+            .unwrap();
+        assert!(
+            report.completed,
+            "broadcast {i} (root {root}) stalled, uncolored: {:?}",
+            report.uncolored
+        );
+    }
+}
+
+/// One worker quantum is one sender-port slot: overlapped checked
+/// correction must hear a handshake between its probes, as in the
+/// LogP model, and not probe the whole ring before it reads its
+/// mailbox. A quantum that looped on `poll_send` let the root alone
+/// send ~2·P messages in its first quantum (8–13·P in total); paced,
+/// the broadcast costs ~3·P and the root sends a dozen.
+#[test]
+fn paced_quanta_keep_checked_correction_off_the_ring() {
+    use corrected_trees::runtime::ClusterConfig;
+    let p = 1024u32;
+    let cfg = ClusterConfig::new().threads(2);
+    let mut cluster = Cluster::with_config(p, LogP::PAPER, cfg);
+    let spec = BroadcastSpec::corrected_tree(TreeKind::BINOMIAL, CorrectionKind::Checked);
+    for seed in 1..=4u64 {
+        let plan = FaultPlan::random_count_protecting(p, p / 100, seed, 0).unwrap();
+        let (report, events) = cluster
+            .run_broadcast_traced(&spec, plan.mask(), seed)
+            .unwrap();
+        assert!(report.completed, "seed {seed}: {:?}", report.uncolored);
+        assert!(
+            report.messages <= 6 * u64::from(p),
+            "seed {seed}: {} messages for P={p}",
+            report.messages
+        );
+        let root_sends = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::SendStart { from: 0, .. }))
+            .count();
+        assert!(
+            root_sends <= p as usize / 4,
+            "seed {seed}: the root sent {root_sends} messages"
+        );
+    }
+}
+
 /// The arena-reuse fast path is an optimization of the fresh-build
 /// path, not a semantic change: for every variant and fault regime, a
 /// single dirty arena threaded through back-to-back runs must replay

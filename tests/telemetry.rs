@@ -83,9 +83,21 @@ fn cluster_results_are_identical_with_telemetry_attached() {
 }
 
 /// On a single worker a fault-free plain binomial broadcast at P=8 is
-/// fully deterministic, so every counter has one exact value: one
-/// batch of all 8 ranks, 8 quanta, 7 tree messages, one coordinator
-/// flush coloring all 8 ranks, and nothing stale, spilled or retried.
+/// fully deterministic, so every counter has one exact value. A quantum
+/// is one sender-port slot (at most one send), and a rank that sent is
+/// requeued at the tail of the run queue, so the tree unrolls over four
+/// batches of 8, 3, 4 and 4 quanta:
+///
+/// 1. ranks 0..7 (the install's enqueue-all): 0→1, 1→3, 3→7 — each
+///    child is still scheduled, so no wake-up; 0, 1 and 3 requeue, the
+///    other five go idle; 0, 1, 3 and 7 are colored.
+/// 2. requeued 0, 1, 3: 0→2 and 1→5 wake their idle children; 0 and 1
+///    requeue behind them; 3 finds its machine done.
+/// 3. 2, 0, 5, 1: 2→6 and 0→4 wake; 2 and 0 requeue; 2 and 5 colored.
+/// 4. 6, 2, 4, 0: 6 and 4 colored; everyone done.
+///
+/// That is 19 quanta, 4 wake-ups, 3 coordinator flushes (4 + 2 + 2
+/// colored), 7 tree messages, and nothing stale, spilled or retried.
 #[test]
 fn single_worker_counters_are_exact() {
     let p = 8u32;
@@ -99,11 +111,11 @@ fn single_worker_counters_are_exact() {
     assert!(report.completed);
 
     let snap = hub.snapshot();
-    assert_eq!(snap.counter("sched.quanta"), 8, "one quantum per rank");
+    assert_eq!(snap.counter("sched.quanta"), 19, "8 + 3 + 4 + 4 quanta");
     assert_eq!(snap.counter("sched.stale_quanta"), 0);
-    assert_eq!(snap.counter("sched.batches"), 1, "all ranks in one batch");
+    assert_eq!(snap.counter("sched.batches"), 4);
     assert_eq!(snap.counter("sched.lost_wakeup_rechecks"), 0);
-    assert_eq!(snap.counter("sched.wakes"), 0, "single worker never parks");
+    assert_eq!(snap.counter("sched.wakes"), 4, "2, 5, 6 and 4 woken idle");
     assert_eq!(snap.counter("msgs.sent"), 7);
     assert_eq!(snap.counter("msgs.delivered"), 7);
     assert_eq!(snap.counter("msgs.stale_dropped"), 0);
@@ -112,19 +124,22 @@ fn single_worker_counters_are_exact() {
     assert_eq!(snap.counter("timer.arms"), 0, "plain tree arms no timers");
     assert_eq!(snap.counter("timer.fires"), 0);
     assert_eq!(snap.counter("timer.cascades"), 0);
-    assert_eq!(snap.counter("coord.batches"), 1);
+    assert_eq!(snap.counter("coord.batches"), 3);
     assert_eq!(snap.counter("coord.colored"), 8);
 
     assert_eq!(snap.gauges.get("mailbox.hwm"), Some(&1));
-    assert_eq!(snap.gauges.get("runq.depth"), Some(&8));
+    assert_eq!(snap.gauges.get("runq.depth"), Some(&4), "the last batch");
     assert_eq!(snap.gauges.get("timers.pending"), Some(&0));
 
     let batch = snap.histograms.get("sched.batch_size").unwrap();
-    assert_eq!((batch.count(), batch.sum()), (1, 8));
+    assert_eq!((batch.count(), batch.sum()), (4, 19));
     let runq = snap.histograms.get("sched.runq_depth").unwrap();
-    assert_eq!((runq.count(), runq.sum()), (1, 8));
+    assert_eq!((runq.count(), runq.sum()), (4, 19));
+    let coord = snap.histograms.get("coord.batch_size").unwrap();
+    assert_eq!((coord.count(), coord.sum()), (3, 8));
+    assert_eq!((coord.min(), coord.max()), (Some(2), Some(4)));
     let drained = snap.histograms.get("mailbox.drained").unwrap();
-    assert_eq!((drained.count(), drained.sum()), (8, 7));
+    assert_eq!((drained.count(), drained.sum()), (19, 7));
     assert_eq!(drained.max(), Some(1), "no rank ever drains two at once");
 }
 
